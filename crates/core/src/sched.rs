@@ -27,11 +27,13 @@
 //!    its measured effective rate (completed FLOPs over elapsed device
 //!    time), which folds in the kernel inefficiencies and fallback
 //!    slowness no static model sees.
-//! 3. **Bounded queues + backpressure + stealing** — each device
-//!    accepts at most [`SchedConfig::queue_capacity`] batches per wave.
-//!    When the policy's choice is full, the batch is *stolen* by the
-//!    device with the most free capacity; when every queue is full, the
-//!    remainder of the stream waits for the next wave (backpressure).
+//! 3. **Bounded queues + overflow re-route + backpressure** — each
+//!    device accepts at most [`SchedConfig::queue_capacity`] batches per
+//!    wave. When the policy's choice is full, the batch is re-routed at
+//!    planning time to the live device with capacity and the least
+//!    projected load (counted as *stolen* in [`SchedTelemetry::stolen`]);
+//!    when every queue is full, the remainder of the stream waits for
+//!    the next wave (backpressure).
 //! 4. **Failure drain** — a shard turns unhealthy when its fallback
 //!    chain is fully quarantined (every ranked config's breaker open),
 //!    when it melts down mid-wave ([`SchedConfig::meltdown_threshold`]
@@ -43,24 +45,28 @@
 //!    cannot fail, so the scheduler drops nothing: every request
 //!    completes.
 //!
-//! Determinism: waves are planned on one thread from device clocks
-//! that only move between waves, and each device's launch sequence is
-//! executed in batch order by a single worker. Routing therefore
-//! depends only on the request stream, the seed and the shard
-//! configuration — never on how the worker threads interleave — which
+//! Execution: each planned wave runs inline on the calling thread (in
+//! production, the ingress dispatcher), draining the shards' queues in
+//! shard order. Worker threads would not pay for themselves: every
+//! device's simulated clock only moves through its own launch order,
+//! so they cannot shorten the makespan, real kernel bodies already
+//! parallelise inside the `gemm` layer, and on the serving benchmark
+//! thread-per-shard waves never beat this path (DESIGN.md §12).
+//!
+//! Determinism: waves are planned from device clocks that only move
+//! between waves, and each device's launch sequence is executed in
+//! batch order. Routing therefore depends only on the request stream,
+//! the seed and the shard configuration, which
 //! `tests/sharded_scheduler.rs` pins with a property test comparing
-//! parallel and sequential execution of random streams.
-
-pub mod deque;
+//! repeat runs of random streams bit for bit.
 
 use crate::online::OnlineSelector;
 use crate::resilient::{LaunchReport, ResilientExecutor};
-use crate::sched::deque::StealDeque;
 use crate::{CoreError, Result};
 use autokernel_analyze::SpaceAnalysis;
 use autokernel_gemm::GemmShape;
 use autokernel_sycl_sim::trace::TraceRecorder;
-use autokernel_sycl_sim::{Buffer, Event, LaunchDecision, SimClock};
+use autokernel_sycl_sim::{Buffer, SimClock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -88,17 +94,13 @@ pub struct SchedConfig {
     /// Device-picking policy.
     pub policy: RoutingPolicy,
     /// Maximum batches a device accepts per wave (≥ 1). Smaller values
-    /// mean earlier stealing and more backpressure waves.
+    /// mean earlier overflow re-routes and more backpressure waves.
     pub queue_capacity: usize,
     /// Maximum same-shape requests coalesced into one batch (≥ 1).
     pub batch_window: usize,
     /// Seed offsetting the round-robin cursor, so distinct schedulers
     /// spread load differently but each replays deterministically.
     pub seed: u64,
-    /// Execute each wave's per-device queues on worker threads. Routing
-    /// is identical either way; `false` is for debugging and for the
-    /// determinism property test.
-    pub parallel: bool,
     /// Consecutive reference-GEMM degradations that mark a device
     /// melted down mid-wave (≥ 1).
     pub meltdown_threshold: u32,
@@ -106,16 +108,6 @@ pub struct SchedConfig {
     /// the shard. Off by default: drift usually means the bandit is
     /// *re-learning* the device, not that the device is gone.
     pub fail_on_drift: bool,
-    /// Execute waves with work stealing: each shard worker drains its
-    /// own queue and then steals still-pending batches from busy
-    /// siblings through a Chase–Lev deque ([`deque::StealDeque`]),
-    /// instead of idling at the wave barrier. Routing, admission and
-    /// scheduling telemetry are identical either way — only which
-    /// device *executes* a planned batch (and therefore the makespan)
-    /// may differ, which `tests/sharded_scheduler.rs` pins with a
-    /// property test. Requires `parallel`; off by default so replay
-    /// stays strictly deterministic.
-    pub stealing: bool,
 }
 
 impl Default for SchedConfig {
@@ -125,10 +117,8 @@ impl Default for SchedConfig {
             queue_capacity: 4,
             batch_window: 8,
             seed: 0,
-            parallel: true,
             meltdown_threshold: 3,
             fail_on_drift: false,
-            stealing: false,
         }
     }
 }
@@ -262,8 +252,10 @@ pub struct SchedTelemetry {
     /// Requests coalesced into an already-open batch (the selector
     /// decisions the batching layer saved).
     pub batched: u64,
-    /// Batches redirected because the policy's choice had no queue
-    /// capacity left this wave.
+    /// Batches re-routed at planning time because the policy's choice
+    /// had no queue capacity left this wave. The only sense in which
+    /// the scheduler steals: an executing device never takes another
+    /// device's planned batch.
     pub stolen: u64,
     /// Requests re-routed to surviving devices after their shard was
     /// drained mid-stream.
@@ -286,7 +278,7 @@ pub struct Assignment {
     /// Index of the shard that received it.
     pub device: usize,
     /// Whether the batch landed somewhere other than the policy's
-    /// first choice (a steal).
+    /// first choice (a planning-time overflow re-route).
     pub stolen: bool,
 }
 
@@ -351,32 +343,16 @@ struct Batch {
     requests: Vec<usize>,
 }
 
-/// What one device worker hands back after a wave.
+/// What draining one device's wave queue produced.
+#[derive(Default)]
 struct WaveOutcome {
     served: u64,
     batches_done: u64,
     flops_done: f64,
     reference_fallbacks: u64,
     melted: bool,
-    /// Batches the worker abandoned after melting down.
+    /// Batches the device abandoned after melting down.
     leftovers: Vec<Batch>,
-    /// Trace items in launch order: absorbed-failure events, then the
-    /// completing event with its decision.
-    trace: Vec<(Event, Option<LaunchDecision>)>,
-}
-
-impl WaveOutcome {
-    fn empty() -> Self {
-        WaveOutcome {
-            served: 0,
-            batches_done: 0,
-            flops_done: 0.0,
-            reference_fallbacks: 0,
-            melted: false,
-            leftovers: Vec::new(),
-            trace: Vec::new(),
-        }
-    }
 }
 
 struct ShardState {
@@ -667,32 +643,28 @@ impl ShardedScheduler {
                 }
             }
 
-            // Execute phase: one worker per device with work, each
-            // draining its own queue in order.
-            let outcomes = self.execute_wave(requests, &wave_queues)?;
-
-            // Merge phase (single-threaded, shard order): counters,
-            // traces, health transitions, rebalancing.
+            // Execute phase, inline and in shard order: each device
+            // drains its own queue in planning order, recording its
+            // launches into the trace as they complete, then its
+            // counters, health and leftovers are merged.
+            let meltdown = self.config.meltdown_threshold.max(1);
             let mut rebalanced: Vec<Batch> = Vec::new();
-            for (index, (state, outcome)) in self.shards.iter_mut().zip(outcomes).enumerate() {
+            for (index, (state, batches)) in self.shards.iter_mut().zip(&wave_queues).enumerate() {
+                let device = index.min(u16::MAX as usize) as u16;
+                let outcome = run_worker(
+                    &state.shard,
+                    device,
+                    batches,
+                    requests,
+                    meltdown,
+                    trace.as_deref_mut(),
+                )?;
                 state.served += outcome.served;
                 state.batches += outcome.batches_done;
                 state.flops_done += outcome.flops_done;
                 state.reference_fallbacks += outcome.reference_fallbacks;
                 served += outcome.served as usize;
                 self.telemetry.served += outcome.served;
-                if let Some(trace) = trace.as_deref_mut() {
-                    for (event, decision) in outcome.trace {
-                        match decision {
-                            Some(d) => trace.record_with_decision(
-                                state.shard.label.as_str(),
-                                event,
-                                d.with_device(index.min(u16::MAX as usize) as u16),
-                            ),
-                            None => trace.record(state.shard.label.as_str(), event),
-                        }
-                    }
-                }
                 if outcome.melted {
                     state.alive = false;
                     self.condemn_counter += 1;
@@ -737,11 +709,10 @@ impl ShardedScheduler {
             }
             // Never drain the whole fleet: if nobody survived, the most
             // recently condemned shard (highest condemnation stamp —
-            // deterministic, since condemnations happen on the
-            // single-threaded merge path) is revived and the stream
-            // degrades onto its reference-kernel rung, which cannot
-            // fail. The report carries `fleet_degraded` as the typed
-            // signal.
+            // deterministic, since condemnations happen in shard order
+            // on the calling thread) is revived and the stream degrades
+            // onto its reference-kernel rung, which cannot fail. The
+            // report carries `fleet_degraded` as the typed signal.
             if self.shards.iter().all(|s| !s.alive) {
                 fleet_degraded = true;
                 if let Some(state) = self.shards.iter_mut().max_by_key(|s| s.condemned_seq) {
@@ -814,8 +785,8 @@ impl ShardedScheduler {
     }
 
     /// Pick a device for `batch`: the policy's choice if it has queue
-    /// capacity, else a steal to the fullest-capacity survivor, else
-    /// `None` (every live queue is full).
+    /// capacity, else an overflow re-route (a steal) to the least-loaded
+    /// survivor with capacity, else `None` (every live queue is full).
     fn route(&mut self, batch: &Batch, wave_queues: &[Vec<Batch>]) -> Option<(usize, bool)> {
         let capacity = self.config.queue_capacity.max(1);
         let alive: Vec<usize> = self
@@ -904,232 +875,74 @@ impl ShardedScheduler {
         };
         n * (batch.shape.flops() / rate.max(1.0) + state.shard.launch_overhead_s)
     }
-
-    /// Run one wave's per-device queues, in parallel or sequentially —
-    /// the outcomes are identical because every cross-device
-    /// interaction happens at the wave boundary.
-    fn execute_wave(
-        &self,
-        requests: &[GemmRequest],
-        wave_queues: &[Vec<Batch>],
-    ) -> Result<Vec<WaveOutcome>> {
-        let meltdown = self.config.meltdown_threshold.max(1);
-        let collect_trace = true;
-        if self.config.stealing && self.config.parallel {
-            return self.execute_wave_stealing(requests, wave_queues, meltdown, collect_trace);
-        }
-        if self.config.parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(wave_queues)
-                    .map(|(state, batches)| {
-                        scope.spawn(move || {
-                            run_worker(&state.shard, batches, requests, meltdown, collect_trace)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().map_err(|_| {
-                            CoreError::Dataset("scheduler worker thread died".into())
-                        })?
-                    })
-                    .collect()
-            })
-        } else {
-            self.shards
-                .iter()
-                .zip(wave_queues)
-                .map(|(state, batches)| {
-                    run_worker(&state.shard, batches, requests, meltdown, collect_trace)
-                })
-                .collect()
-        }
-    }
-
-    /// Run one wave with work stealing: the wave's batches live in a
-    /// flat arena, each shard gets a [`StealDeque`] of its planned
-    /// arena indices (pushed in reverse, so the owner's LIFO pop drains
-    /// its queue in planning order while thieves take its tail), and a
-    /// worker that empties its own deque steals from its siblings in a
-    /// deterministic victim order instead of idling at the barrier.
-    /// Stolen batches execute on the *thief's* device stack and are
-    /// attributed to it. A worker stops at meltdown; whatever nobody
-    /// ended up executing is drained single-threaded after the scope
-    /// and re-routed as leftovers — the same zero-drop invariant as the
-    /// deterministic path.
-    fn execute_wave_stealing(
-        &self,
-        requests: &[GemmRequest],
-        wave_queues: &[Vec<Batch>],
-        meltdown: u32,
-        collect_trace: bool,
-    ) -> Result<Vec<WaveOutcome>> {
-        let arena: Vec<&Batch> = wave_queues.iter().flatten().collect();
-        let mut next = 0usize;
-        let deques: Vec<StealDeque> = wave_queues
-            .iter()
-            .map(|queue| {
-                let deque = StealDeque::with_capacity(queue.len().max(1));
-                let start = next;
-                next += queue.len();
-                for index in (start..next).rev() {
-                    // Sized to the queue: a failed push is impossible,
-                    // and ignoring it would surface as a leftover in
-                    // the post-scope drain, not a lost request.
-                    let _ = deque.push(index as u64);
-                }
-                deque
-            })
-            .collect();
-        let shard_count = self.shards.len();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(index, state)| {
-                    let deques = &deques;
-                    let arena = &arena;
-                    scope.spawn(move || -> Result<WaveOutcome> {
-                        let mut outcome = WaveOutcome::empty();
-                        let mut consecutive_reference = 0u32;
-                        while !outcome.melted {
-                            let item = deques.get(index).and_then(StealDeque::pop).or_else(|| {
-                                (1..shard_count).find_map(|offset| {
-                                    deques
-                                        .get((index + offset) % shard_count)
-                                        .and_then(StealDeque::steal)
-                                })
-                            });
-                            let Some(item) = item else { break };
-                            let Some(batch) = arena.get(item as usize) else {
-                                break;
-                            };
-                            run_batch(
-                                &state.shard,
-                                batch,
-                                requests,
-                                meltdown,
-                                collect_trace,
-                                &mut consecutive_reference,
-                                &mut outcome,
-                            )?;
-                        }
-                        Ok(outcome)
-                    })
-                })
-                .collect();
-            let mut outcomes = handles
-                .into_iter()
-                .map(|handle| {
-                    handle
-                        .join()
-                        .map_err(|_| CoreError::Dataset("scheduler worker thread died".into()))?
-                })
-                .collect::<Result<Vec<WaveOutcome>>>()?;
-            // Anything still queued here had every eligible executor
-            // melt down mid-wave: hand it back for re-routing.
-            for (deque, outcome) in deques.iter().zip(&mut outcomes) {
-                while let Some(item) = deque.pop() {
-                    if let Some(batch) = arena.get(item as usize) {
-                        outcome.leftovers.push((*batch).clone());
-                    }
-                }
-            }
-            Ok(outcomes)
-        })
-    }
 }
 
-/// Drain one device's wave queue. Single-threaded per device: the
-/// shard's submission order (and therefore its simulated timeline and
-/// fault sequence) is a pure function of the batches it was handed.
+/// Drain one device's wave queue in planning order. The shard's
+/// submission order (and therefore its simulated timeline and fault
+/// sequence) is a pure function of the batches it was handed. Each
+/// launch is recorded into `trace`, when one is given, as it completes:
+/// absorbed-failure events first, then the completing event with its
+/// device-tagged decision. On meltdown the device stops launching *now*,
+/// not at the next batch boundary: the current batch's unserved tail and
+/// every later batch come back as `leftovers`.
 fn run_worker(
     shard: &DeviceShard,
+    device: u16,
     batches: &[Batch],
     requests: &[GemmRequest],
     meltdown_threshold: u32,
-    collect_trace: bool,
+    mut trace: Option<&mut TraceRecorder>,
 ) -> Result<WaveOutcome> {
-    let mut outcome = WaveOutcome::empty();
+    let mut outcome = WaveOutcome::default();
     let mut consecutive_reference = 0u32;
     for (position, batch) in batches.iter().enumerate() {
-        if outcome.melted {
-            outcome
-                .leftovers
-                .extend(batches.iter().skip(position).cloned());
-            break;
+        for (offset, &request_index) in batch.requests.iter().enumerate() {
+            let request = requests.get(request_index).ok_or_else(|| {
+                CoreError::Dataset(format!("request index {request_index} out of range"))
+            })?;
+            let report =
+                shard
+                    .executor
+                    .launch(request.shape, &request.a, &request.b, &request.c)?;
+            outcome.served += 1;
+            outcome.flops_done += request.shape.flops();
+            if is_reference(&report) {
+                outcome.reference_fallbacks += 1;
+                consecutive_reference += 1;
+            } else {
+                consecutive_reference = 0;
+            }
+            if let Some(trace) = trace.as_deref_mut() {
+                let label = shard.label.as_str();
+                for event in report.failures.into_iter().filter_map(|f| f.event) {
+                    trace.record(label, event);
+                }
+                trace.record_with_decision(
+                    label,
+                    report.event,
+                    report.decision.with_device(device),
+                );
+            }
+            if consecutive_reference >= meltdown_threshold {
+                outcome.melted = true;
+                let remaining: Vec<usize> =
+                    batch.requests.iter().skip(offset + 1).copied().collect();
+                if !remaining.is_empty() {
+                    outcome.leftovers.push(Batch {
+                        shape: batch.shape,
+                        class: batch.class,
+                        requests: remaining,
+                    });
+                }
+                outcome
+                    .leftovers
+                    .extend(batches.iter().skip(position + 1).cloned());
+                return Ok(outcome);
+            }
         }
-        run_batch(
-            shard,
-            batch,
-            requests,
-            meltdown_threshold,
-            collect_trace,
-            &mut consecutive_reference,
-            &mut outcome,
-        )?;
+        outcome.batches_done += 1;
     }
     Ok(outcome)
-}
-
-/// Execute one batch on `shard`, accumulating into `outcome`. On
-/// meltdown the batch's unserved tail is pushed onto
-/// `outcome.leftovers` and `outcome.melted` is set — the caller stops
-/// launching on this device *now*, not at the next batch boundary.
-fn run_batch(
-    shard: &DeviceShard,
-    batch: &Batch,
-    requests: &[GemmRequest],
-    meltdown_threshold: u32,
-    collect_trace: bool,
-    consecutive_reference: &mut u32,
-    outcome: &mut WaveOutcome,
-) -> Result<()> {
-    for (offset, &request_index) in batch.requests.iter().enumerate() {
-        let request = requests.get(request_index).ok_or_else(|| {
-            CoreError::Dataset(format!("request index {request_index} out of range"))
-        })?;
-        let report = shard
-            .executor
-            .launch(request.shape, &request.a, &request.b, &request.c)?;
-        outcome.served += 1;
-        outcome.flops_done += request.shape.flops();
-        if is_reference(&report) {
-            outcome.reference_fallbacks += 1;
-            *consecutive_reference += 1;
-        } else {
-            *consecutive_reference = 0;
-        }
-        if collect_trace {
-            for failure in &report.failures {
-                if let Some(event) = &failure.event {
-                    outcome.trace.push((event.clone(), None));
-                }
-            }
-            outcome
-                .trace
-                .push((report.event.clone(), Some(report.decision)));
-        }
-        if *consecutive_reference >= meltdown_threshold {
-            outcome.melted = true;
-            let remaining: Vec<usize> = batch.requests.iter().skip(offset + 1).copied().collect();
-            if !remaining.is_empty() {
-                outcome.leftovers.push(Batch {
-                    shape: batch.shape,
-                    class: batch.class,
-                    requests: remaining,
-                });
-            }
-            return Ok(());
-        }
-    }
-    outcome.batches_done += 1;
-    Ok(())
 }
 
 fn is_reference(report: &LaunchReport) -> bool {

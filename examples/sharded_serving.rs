@@ -9,7 +9,9 @@
 //!    Nano plus two desktop GPUs, a realistic mixed-SKU rack), with
 //!    same-shape bursts batched into single decisions, perf-aware
 //!    routing driven by each device's static shipped-set fitness,
-//!    bounded per-device wave queues with stealing, and failure drain.
+//!    bounded per-device wave queues whose overflow is re-routed at
+//!    planning time, and failure drain. Each wave runs inline on the
+//!    calling thread, one device queue after another.
 //!
 //! The score is served requests per unit *simulated* time: the fleet
 //! must clear at least 2x the single-device throughput on the same
@@ -116,7 +118,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             queue_capacity: 64,
             batch_window: 4,
             seed: 7,
-            parallel: true,
             ..SchedConfig::default()
         },
     )?;
@@ -137,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let telemetry = scheduler.telemetry();
     println!(
-        "telemetry: {} batches routed, {} requests coalesced, {} steals, \
+        "telemetry: {} batches routed, {} requests coalesced, {} overflow re-routes, \
          {} rebalanced, {} served",
         telemetry.routed,
         telemetry.batched,

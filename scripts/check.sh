@@ -72,12 +72,12 @@ if ./target/release/hotpath_lint crates/analyze/tests/fixtures/sweep/crates/mlki
 fi
 echo "    sweep fixture correctly rejected"
 
-echo "==> hot-path lint (must fail on the steal-path allocation fixture)"
-if ./target/release/hotpath_lint crates/analyze/tests/fixtures/alloc/deque.rs > /dev/null; then
-    echo "    FAIL: linter accepted allocations on the steal path" >&2
+echo "==> hot-path lint (must fail on the decide-path allocation fixture)"
+if ./target/release/hotpath_lint crates/analyze/tests/fixtures/alloc/cache.rs > /dev/null; then
+    echo "    FAIL: linter accepted allocations on the decide path" >&2
     exit 1
 fi
-echo "    deque fixture correctly rejected"
+echo "    allocation fixture correctly rejected"
 
 echo "==> kernel-space analyzer self-check (analyzer vs validate_launch)"
 cargo run -q --release --bin analyze_space
