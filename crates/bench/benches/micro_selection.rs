@@ -9,8 +9,9 @@
 //! would actually ship, and the serving layer on top: the sharded
 //! decision cache (`selection_cache` group, warm-hit vs model
 //! inference — the headline is the cached/uncached ratio printed after
-//! the group) and parallel batch throughput (`selection_throughput`
-//! group, decisions/second via `Throughput::Elements`).
+//! the group) and serving-batch throughput of the uncached model
+//! (`selection_throughput` group, decisions/second via
+//! `Throughput::Elements`).
 
 use autokernel_bench::{paper_dataset, save_result, standard_split, MODEL_SEED};
 use autokernel_core::cache::CachedSelector;
@@ -118,18 +119,15 @@ fn bench_selection_throughput(c: &mut Criterion) {
     let configs = PruneMethod::DecisionTree
         .select(&ds, &split.train, 8, MODEL_SEED)
         .unwrap();
-    // Forest again: batch parallelism only pays when one decision costs
-    // microseconds — for the ~100 ns tree, thread fan-out loses.
-    let sel = Arc::new(
-        Selector::train(
-            SelectorKind::RandomForest,
-            &ds,
-            &split.train,
-            &configs,
-            MODEL_SEED,
-        )
-        .unwrap(),
-    );
+    // Forest again: the most expensive model to consult.
+    let sel = Selector::train(
+        SelectorKind::RandomForest,
+        &ds,
+        &split.train,
+        &configs,
+        MODEL_SEED,
+    )
+    .unwrap();
     // A serving batch: 256 decisions over a 16-shape working set.
     let working_set: Vec<GemmShape> = (0..16)
         .map(|i| GemmShape::new(64 + i * 31, 128 + i * 7, 32 + i * 13))
@@ -146,14 +144,6 @@ fn bench_selection_throughput(c: &mut Criterion) {
                 black_box(sel.select_shape(black_box(shape)).unwrap());
             }
         });
-    });
-    group.bench_function("parallel_uncached_select_batch", |bench| {
-        bench.iter(|| black_box(sel.select_batch(black_box(&batch)).unwrap()));
-    });
-    let cached = CachedSelector::new(Arc::clone(&sel));
-    cached.warm(&working_set).unwrap();
-    group.bench_function("parallel_cached_select_batch", |bench| {
-        bench.iter(|| black_box(cached.select_batch(black_box(&batch)).unwrap()));
     });
     group.finish();
 }

@@ -217,25 +217,7 @@ const MANIFEST: &[(&str, &str, Direction, f64)] = &[
     ),
     (
         "micro_decide",
-        "batch_pick_ns",
-        Direction::LowerBetter,
-        TIMING_TOLERANCE,
-    ),
-    (
-        "micro_decide",
-        "legacy_select_ns",
-        Direction::LowerBetter,
-        TIMING_TOLERANCE,
-    ),
-    (
-        "micro_decide",
         "single_pick_ops",
-        Direction::LowerBetter,
-        DEFAULT_TOLERANCE,
-    ),
-    (
-        "micro_decide",
-        "batch_pick_ops_per_kilopick",
         Direction::LowerBetter,
         DEFAULT_TOLERANCE,
     ),

@@ -22,7 +22,6 @@ use crate::select::Selector;
 use crate::Result;
 use autokernel_gemm::GemmShape;
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -216,8 +215,8 @@ struct Shard {
 pub struct ShardedCache {
     shards: Vec<Shard>,
     generation: AtomicU64,
-    /// Lock-free open-addressed L1 in front of the shards: the decide
-    /// fast path ([`CachedSelector::decide`]) probes it before touching
+    /// Lock-free open-addressed L1 in front of the shards: every pick
+    /// ([`CachedSelector::select_outcome`]) probes it before touching
     /// any lock. Entries are generation-tagged, so `bump_generation`
     /// invalidates it for free; `clear`/`restore_state` (which change
     /// contents without advancing the generation) unpublish it
@@ -739,8 +738,9 @@ pub struct SelectionTelemetry {
     /// selector generation than the one live when they arrived (the
     /// stale-reward-poisoning guard in `core::online`).
     stale_rewards_dropped: AtomicU64,
-    /// Wall-clock decision latency (cache hit or model run), log2
-    /// buckets.
+    /// Wall-clock latency of L1-miss decisions (shard hit or model
+    /// run), log2 buckets. L1 hits carry no `Instant` and record no
+    /// sample.
     decision_latency: LatencyHistogram,
 }
 
@@ -819,7 +819,11 @@ impl SelectionTelemetry {
             .fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
     }
 
-    fn record(&self, hit: bool, nanos: u64, config_index: usize) {
+    /// The L1-miss record: one hit or miss with its latency sample and
+    /// the pick-slot bump (`slot` from
+    /// [`SelectionTelemetry::shipped_slot`];
+    /// [`crate::decide::NO_SLOT`] bumps no pick counter).
+    fn record(&self, hit: bool, nanos: u64, slot: u16) {
         self.decision_latency.record(nanos);
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
@@ -828,20 +832,16 @@ impl SelectionTelemetry {
             self.misses.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
             self.miss_nanos.fetch_add(nanos, Ordering::Relaxed); // atomic:role(counter)
         }
-        if let Some(slot) = self.shipped.iter().position(|&c| c == config_index) {
-            // lint:allow(no-index) slot comes from position() over picks' twin
-            self.picks[slot].fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
+        if let Some(pick) = self.picks.get(slot as usize) {
+            pick.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
         }
     }
 
-    /// The fast-path hit record: one hit, one pick-slot bump, no
-    /// latency sample (the decide path deliberately carries no
-    /// `Instant`; latency is sampled per batch instead). `slot` is the
-    /// shipped-set position carried in the L1 entry —
-    /// [`crate::decide::NO_SLOT`] bumps no pick counter, exactly like
-    /// a non-shipped pick in [`SelectionTelemetry::record`].
+    /// The L1-hit record: one hit and one pick-slot bump, no latency
+    /// sample (the L1 path deliberately carries no `Instant`). `slot`
+    /// is the shipped-set position carried in the L1 entry.
     #[inline]
-    pub(crate) fn record_fast_hit(&self, slot: u16) {
+    fn record_fast_hit(&self, slot: u16) {
         self.hits.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
         if let Some(pick) = self.picks.get(slot as usize) {
             pick.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
@@ -849,49 +849,14 @@ impl SelectionTelemetry {
     }
 
     /// The shipped-set slot of `config_index`, or
-    /// [`crate::decide::NO_SLOT`]. Runs the linear scan the fast path
-    /// avoids — called once per L1 install (the miss path), never per
-    /// hit.
-    pub(crate) fn shipped_slot(&self, config_index: usize) -> u16 {
+    /// [`crate::decide::NO_SLOT`]. Runs the linear scan the L1 hit
+    /// avoids — called once per L1 miss, never per hit.
+    fn shipped_slot(&self, config_index: usize) -> u16 {
         self.shipped
             .iter()
             .position(|&c| c == config_index)
             .and_then(|slot| u16::try_from(slot).ok())
             .unwrap_or(crate::decide::NO_SLOT)
-    }
-
-    /// Flush a `decide_batch`'s locally accumulated telemetry in one
-    /// pass: `hits` L1 hits, `hit_nanos` of amortised wall time (0 for
-    /// mixed batches — misses already self-accounted through
-    /// [`SelectionTelemetry::record`]), one latency-histogram sample of
-    /// the amortised per-pick cost, and the per-slot pick counts.
-    pub(crate) fn flush_fast_batch(&self, hits: u64, hit_nanos: u64, picks: &[u32]) {
-        if hits > 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed); // atomic:role(counter)
-        }
-        if hit_nanos > 0 {
-            self.hit_nanos.fetch_add(hit_nanos, Ordering::Relaxed); // atomic:role(counter)
-        }
-        for (pick, &n) in self.picks.iter().zip(picks) {
-            if n > 0 {
-                pick.fetch_add(n as u64, Ordering::Relaxed); // atomic:role(counter)
-            }
-        }
-    }
-
-    /// Record one amortised per-pick latency sample for a batch.
-    pub(crate) fn record_batch_latency(&self, per_pick_nanos: u64) {
-        self.decision_latency.record(per_pick_nanos);
-    }
-
-    /// Bump one pick-slot counter directly (overflow path for shipped
-    /// sets larger than the batch's stack accumulator; a
-    /// [`crate::decide::NO_SLOT`] sentinel bumps nothing).
-    #[inline]
-    pub(crate) fn bump_pick(&self, slot: u16) {
-        if let Some(pick) = self.picks.get(slot as usize) {
-            pick.fetch_add(1, Ordering::Relaxed); // atomic:role(counter)
-        }
     }
 
     /// Selections answered from the cache.
@@ -919,7 +884,9 @@ impl SelectionTelemetry {
         }
     }
 
-    /// Mean latency of cache hits, in nanoseconds.
+    /// Mean latency of cache hits, in nanoseconds. Only shard hits are
+    /// timed; L1 hits count with 0 ns, so this is the shard-hit time
+    /// amortised over every hit.
     pub fn mean_hit_nanos(&self) -> f64 {
         let hits = self.hits();
         if hits == 0 {
@@ -1004,7 +971,8 @@ impl SelectionTelemetry {
         self.stale_rewards_dropped.load(Ordering::Relaxed) // atomic:role(counter)
     }
 
-    /// The decision-latency histogram (cache hits and model runs).
+    /// The decision-latency histogram: L1-miss picks only (shard hits
+    /// and model runs); L1 hits record no sample.
     pub fn decision_latency(&self) -> &LatencyHistogram {
         &self.decision_latency
     }
@@ -1186,10 +1154,11 @@ pub struct TelemetrySnapshot {
     pub adaptive_picks: u64,
     /// Rewards discarded for carrying a stale selector generation.
     pub stale_rewards_dropped: u64,
-    /// Median decision latency in nanoseconds (histogram estimate).
+    /// Median L1-miss decision latency in nanoseconds (histogram
+    /// estimate; L1 hits record no sample).
     pub decision_p50_ns: f64,
-    /// 99th-percentile decision latency in nanoseconds (histogram
-    /// estimate).
+    /// 99th-percentile L1-miss decision latency in nanoseconds
+    /// (histogram estimate; L1 hits record no sample).
     pub decision_p99_ns: f64,
 }
 
@@ -1249,127 +1218,70 @@ impl CachedSelector {
         }
     }
 
-    /// Select a configuration index for `shape`, memoised. Identical to
-    /// [`Selector::select_shape`] in its results — only faster on
-    /// repeated shapes.
+    /// Select a configuration index for `shape`, memoised: the `usize`
+    /// view of [`CachedSelector::select_outcome`].
+    #[inline]
     pub fn select(&self, shape: &GemmShape) -> Result<usize> {
         Ok(self.select_outcome(shape)?.config_index)
     }
 
-    /// Like [`CachedSelector::select`], also reporting whether the
-    /// decision came from the cache (for launch tracing).
+    /// Select a configuration for `shape` in the decide path's native
+    /// `u16` currency: the `u16` view of
+    /// [`CachedSelector::select_outcome`].
+    #[inline]
+    pub fn decide(&self, shape: &GemmShape) -> Result<u16> {
+        let config = self.select_outcome(shape)?.config_index;
+        u16::try_from(config).map_err(|_| crate::CoreError::BadConfigIndex(config))
+    }
+
+    /// The one pick implementation. Identical to
+    /// [`Selector::select_shape`] in its results — only faster on
+    /// repeated shapes — and reports whether the decision came from the
+    /// cache (for launch tracing).
+    ///
+    /// The common (warm) pick probes the lock-free L1: one generation
+    /// load, a short open-addressed probe and two relaxed counter bumps
+    /// — no lock, no `Instant`, no shipped-set scan, and so no latency
+    /// sample and no shard LRU refresh. An L1 miss takes the timed
+    /// shard-cache/model path and publishes its decision into the L1.
+    #[inline]
     pub fn select_outcome(&self, shape: &GemmShape) -> Result<SelectionOutcome> {
-        let start = Instant::now();
-        if let Some(config_index) = self.cache.get(shape) {
-            self.telemetry
-                .record(true, start.elapsed().as_nanos() as u64, config_index);
+        if let Some((config, slot)) = self.cache.l1_probe(shape) {
+            self.telemetry.record_fast_hit(slot);
             return Ok(SelectionOutcome {
-                config_index,
+                config_index: config as usize,
                 cache_hit: true,
             });
         }
-        let config_index = self.selector.select_shape(shape)?;
-        self.cache.insert(*shape, config_index);
+        self.select_slow(shape)
+    }
+
+    /// The L1 miss path: a shard hit or a model run (memoised in the
+    /// shards), self-accounted in the telemetry with a latency sample,
+    /// then published into the L1 for subsequent picks.
+    #[cold]
+    fn select_slow(&self, shape: &GemmShape) -> Result<SelectionOutcome> {
+        let start = Instant::now();
+        let (config_index, cache_hit) = match self.cache.get(shape) {
+            Some(config_index) => (config_index, true),
+            None => {
+                let config_index = self.selector.select_shape(shape)?;
+                self.cache.insert(*shape, config_index);
+                (config_index, false)
+            }
+        };
+        let slot = self.telemetry.shipped_slot(config_index);
         self.telemetry
-            .record(false, start.elapsed().as_nanos() as u64, config_index);
+            .record(cache_hit, start.elapsed().as_nanos() as u64, slot);
+        // An index outside the u16 space has no L1 encoding; it is
+        // still served, just never from the L1.
+        if let Ok(config) = u16::try_from(config_index) {
+            self.cache.l1_install(shape, config, slot);
+        }
         Ok(SelectionOutcome {
             config_index,
-            cache_hit: false,
+            cache_hit,
         })
-    }
-
-    /// Select for many shapes in parallel (rayon), through the cache.
-    pub fn select_batch(&self, shapes: &[GemmShape]) -> Result<Vec<usize>> {
-        shapes.par_iter().map(|s| self.select(s)).collect()
-    }
-
-    /// Decide a configuration for `shape` on the fast path: one
-    /// generation load, a short open-addressed L1 probe and two relaxed
-    /// counter bumps on the common (warm) pick — no lock, no `Instant`,
-    /// no shipped-set scan. Returns the same configuration
-    /// [`CachedSelector::select`] would (the L1 memoises `select`'s
-    /// result under the live cache generation); the only telemetry
-    /// difference is that L1 hits carry no per-decision latency sample
-    /// (use [`CachedSelector::decide_batch`] for amortised sampling).
-    #[inline]
-    pub fn decide(&self, shape: &GemmShape) -> Result<u16> {
-        if let Some((config, slot)) = self.cache.l1_probe(shape) {
-            self.telemetry.record_fast_hit(slot);
-            return Ok(config);
-        }
-        self.decide_slow(shape)
-    }
-
-    /// The decide miss path: run the full [`CachedSelector::select_outcome`]
-    /// (model run or shard hit, self-accounted telemetry) and publish
-    /// the decision into the L1 for subsequent picks.
-    #[cold]
-    fn decide_slow(&self, shape: &GemmShape) -> Result<u16> {
-        let outcome = self.select_outcome(shape)?;
-        let config = u16::try_from(outcome.config_index)
-            .map_err(|_| crate::CoreError::BadConfigIndex(outcome.config_index))?;
-        let slot = self.telemetry.shipped_slot(outcome.config_index);
-        self.cache.l1_install(shape, config, slot);
-        Ok(config)
-    }
-
-    /// Decide configurations for a chunk of shapes, amortising the
-    /// telemetry atomics across the batch: hits and pick counts
-    /// accumulate in stack locals and flush once, and a single
-    /// `Instant` pair per batch yields one amortised per-pick latency
-    /// sample instead of one clock read per decision. Writes one `u16`
-    /// configuration index per shape into `out` (which must have the
-    /// same length); misses fall through to the self-accounting slow
-    /// path exactly as [`CachedSelector::decide`] does.
-    pub fn decide_batch(&self, shapes: &[GemmShape], out: &mut [u16]) -> Result<()> {
-        if shapes.len() != out.len() {
-            // lint:allow(no-alloc) typed-error construction on the cold arity-mismatch arm
-            return Err(crate::CoreError::Dataset(format!(
-                "decide_batch arity mismatch: {} shapes, {} output slots",
-                shapes.len(),
-                out.len()
-            )));
-        }
-        if shapes.is_empty() {
-            return Ok(());
-        }
-        let start = Instant::now();
-        let mut local_hits: u64 = 0;
-        let mut local_picks = [0u32; crate::decide::MAX_SHIPPED_SLOTS];
-        for (shape, decided) in shapes.iter().zip(out.iter_mut()) {
-            if let Some((config, slot)) = self.cache.l1_probe(shape) {
-                local_hits += 1;
-                match local_picks.get_mut(slot as usize) {
-                    Some(count) => *count += 1,
-                    // Slots beyond the stack accumulator (and the
-                    // NO_SLOT sentinel) flush directly.
-                    None => self.telemetry.bump_pick(slot),
-                }
-                *decided = config;
-            } else {
-                *decided = self.decide_slow(shape)?;
-            }
-        }
-        let elapsed = start.elapsed().as_nanos() as u64;
-        // Misses self-account their nanos inside `decide_slow`; only a
-        // pure-hit batch attributes the batch wall time to `hit_nanos`
-        // (the steady-state case the mean-hit metric describes).
-        let all_hit_nanos = if local_hits == shapes.len() as u64 {
-            elapsed
-        } else {
-            0
-        };
-        self.telemetry
-            .flush_fast_batch(local_hits, all_hit_nanos, &local_picks);
-        self.telemetry
-            .record_batch_latency(elapsed / shapes.len() as u64);
-        Ok(())
-    }
-
-    /// Run the model for every shape up front so later traffic is all
-    /// cache hits. Warm-up counts as misses in the telemetry.
-    pub fn warm(&self, shapes: &[GemmShape]) -> Result<()> {
-        self.select_batch(shapes).map(|_| ())
     }
 
     /// The wrapped selector.
@@ -1502,14 +1414,18 @@ mod tests {
         let sel = trained();
         let cached = CachedSelector::with_shards(Arc::clone(&sel), 4);
         let shapes: Vec<GemmShape> = (1..=12).map(|i| GemmShape::new(i * 17, 256, 96)).collect();
-        let batch = cached.select_batch(&shapes).unwrap();
-        for (shape, &idx) in shapes.iter().zip(&batch) {
-            assert_eq!(sel.select_shape(shape).unwrap(), idx);
+        for shape in &shapes {
+            assert_eq!(
+                sel.select_shape(shape).unwrap(),
+                cached.select(shape).unwrap()
+            );
         }
         assert_eq!(cached.cached_shapes(), shapes.len());
-        // Everything is warm now: a second batch is pure hits.
+        // Everything is warm now: a second pass is pure hits.
         let before = cached.telemetry().hits();
-        cached.select_batch(&shapes).unwrap();
+        for shape in &shapes {
+            cached.select(shape).unwrap();
+        }
         assert_eq!(cached.telemetry().hits(), before + shapes.len() as u64);
     }
 

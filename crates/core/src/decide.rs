@@ -240,17 +240,7 @@ pub mod cost {
     /// Atomic RMWs a single L1-hit `decide` performs: the `hits`
     /// counter and the per-shipped-slot pick counter.
     pub const SINGLE_HIT_RMWS: u64 = 2;
-    /// Atomic RMWs an all-hit `decide_batch` flushes *per batch*
-    /// independent of batch length: the `hits` counter and the
-    /// `hit_nanos` counter (pick-slot flushes add one RMW per
-    /// *distinct* shipped slot, not per pick).
-    pub const BATCH_FLUSH_RMWS: u64 = 2;
 }
-
-/// How many shipped-set slots a `decide_batch` call can accumulate on
-/// the stack before flushing pick counts directly. The paper ships a
-/// handful of configurations; 64 is far above any real shipped set.
-pub const MAX_SHIPPED_SLOTS: usize = 64;
 
 fn hash_cluster_key(key: &[i64; 3]) -> u64 {
     // FNV-1a over the three coordinates, matching the spirit of

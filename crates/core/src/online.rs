@@ -282,15 +282,22 @@ impl OnlineSelector {
         shape.log_features().map(|f| (f / q).round() as i64)
     }
 
-    /// Select a configuration for `shape`. Mirror stage: delegates to
-    /// the cached offline classifier, bit-identical to the static
-    /// stack. Adaptive stage: per-cluster UCB argmax (bypasses the
-    /// shape cache; counted in the `adaptive_picks` telemetry rather
-    /// than `hits`/`misses`).
+    /// The one pick implementation. Mirror stage: the cached offline
+    /// classifier's [`CachedSelector::select_outcome`] (the lock-free L1
+    /// on a warm shape), bit-identical to the static stack. Adaptive
+    /// stage: per-cluster UCB argmax (bypasses the shape cache; counted
+    /// in the `adaptive_picks` telemetry rather than `hits`/`misses`).
+    #[inline]
     pub fn select_outcome(&self, shape: &GemmShape) -> Result<SelectionOutcome> {
         if !self.is_adaptive() {
             return self.cached.select_outcome(shape);
         }
+        self.select_adaptive(shape)
+    }
+
+    // Out of line, so the mirror-stage pick inlines as just the stage
+    // check and the L1 probe.
+    fn select_adaptive(&self, shape: &GemmShape) -> Result<SelectionOutcome> {
         let key = self.cluster_key(shape);
         let mut inner = self.inner.lock();
         let cluster = self.cluster_entry(&mut inner, key);
@@ -308,50 +315,17 @@ impl OnlineSelector {
         })
     }
 
-    /// Convenience: just the configuration index.
+    /// The `usize` view of [`OnlineSelector::select_outcome`].
+    #[inline]
     pub fn select(&self, shape: &GemmShape) -> Result<usize> {
         Ok(self.select_outcome(shape)?.config_index)
     }
 
-    /// Decide on the fast path. Mirror stage: exactly
-    /// [`CachedSelector::decide`] — the lock-free sub-20ns pick.
-    /// Adaptive stage: the bandit pick (mutex + UCB argmax), returning
-    /// the same configuration [`OnlineSelector::select`] would.
+    /// The `u16` view of [`OnlineSelector::select_outcome`].
     #[inline]
     pub fn decide(&self, shape: &GemmShape) -> Result<u16> {
-        if !self.is_adaptive() {
-            return self.cached.decide(shape);
-        }
-        self.decide_adaptive(shape)
-    }
-
-    #[cold]
-    fn decide_adaptive(&self, shape: &GemmShape) -> Result<u16> {
-        let outcome = self.select_outcome(shape)?;
-        u16::try_from(outcome.config_index)
-            .map_err(|_| CoreError::BadConfigIndex(outcome.config_index))
-    }
-
-    /// Batched decide: mirror stage amortises telemetry atomics across
-    /// the chunk via [`CachedSelector::decide_batch`]; adaptive stage
-    /// picks per shape (each pick consults live bandit evidence).
-    /// `out` must have one slot per shape.
-    pub fn decide_batch(&self, shapes: &[GemmShape], out: &mut [u16]) -> Result<()> {
-        if !self.is_adaptive() {
-            return self.cached.decide_batch(shapes, out);
-        }
-        if shapes.len() != out.len() {
-            // lint:allow(no-alloc) typed-error construction on the cold arity-mismatch arm
-            return Err(CoreError::Dataset(format!(
-                "decide_batch arity mismatch: {} shapes, {} output slots",
-                shapes.len(),
-                out.len()
-            )));
-        }
-        for (shape, decided) in shapes.iter().zip(out.iter_mut()) {
-            *decided = self.decide_adaptive(shape)?;
-        }
-        Ok(())
+        let config = self.select_outcome(shape)?.config_index;
+        u16::try_from(config).map_err(|_| CoreError::BadConfigIndex(config))
     }
 
     fn cluster_entry<'a>(&self, inner: &'a mut Inner, key: [i64; 3]) -> &'a mut ClusterState {

@@ -198,16 +198,6 @@ impl TuningPipeline {
         KernelConfig::from_index(idx).ok_or(CoreError::BadConfigIndex(idx))
     }
 
-    /// Select configurations for many shapes in parallel, through the
-    /// serving cache.
-    pub fn select_batch(&self, shapes: &[GemmShape]) -> Result<Vec<KernelConfig>> {
-        self.serving
-            .select_batch(shapes)?
-            .into_iter()
-            .map(|idx| KernelConfig::from_index(idx).ok_or(CoreError::BadConfigIndex(idx)))
-            .collect()
-    }
-
     /// The serving cache wrapped around the trained selector.
     pub fn serving(&self) -> &Arc<CachedSelector> {
         &self.serving
@@ -632,10 +622,9 @@ mod tests {
         )
         .unwrap();
         let probes: Vec<GemmShape> = (1..=10).map(|i| GemmShape::new(i * 31, 128, 512)).collect();
-        let chosen = p.select_batch(&probes).unwrap();
-        assert_eq!(chosen.len(), probes.len());
         let shipped = p.shipped_kernel_configs();
-        for cfg in chosen {
+        for probe in &probes {
+            let cfg = p.select_cached(probe).unwrap();
             assert!(shipped.contains(&cfg));
         }
     }

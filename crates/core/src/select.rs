@@ -248,24 +248,6 @@ impl Selector {
         Ok(self.predict(&x)?[0])
     }
 
-    /// [`Selector::select_shape`] in the decide path's native `u16`
-    /// currency (the 640-point space fits; an out-of-space model
-    /// output is the typed [`crate::CoreError::BadConfigIndex`]).
-    pub fn select_shape_u16(&self, shape: &GemmShape) -> Result<u16> {
-        let config = self.select_shape(shape)?;
-        u16::try_from(config).map_err(|_| crate::CoreError::BadConfigIndex(config))
-    }
-
-    /// Select configurations for many arbitrary shapes in parallel.
-    ///
-    /// Equivalent to mapping [`Selector::select_shape`] over `shapes`
-    /// (the models are immutable after training, so per-shape inference
-    /// is embarrassingly parallel); output order matches input order.
-    pub fn select_batch(&self, shapes: &[GemmShape]) -> Result<Vec<usize>> {
-        use rayon::prelude::*;
-        shapes.par_iter().map(|s| self.select_shape(s)).collect()
-    }
-
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>> {
         let preds = match &self.model {
             Model::Tree(m) => m.predict(x)?,
@@ -493,23 +475,6 @@ mod tests {
             let single = sel.select_shape(&ds.shapes[3]).unwrap();
             assert_eq!(batch[0], single);
         }
-    }
-
-    #[test]
-    fn select_batch_matches_sequential_selection() {
-        let ds = ds();
-        let train: Vec<usize> = (0..ds.n_shapes()).collect();
-        let configs = crate::prune::PruneMethod::TopN
-            .select(&ds, &train, 5, 0)
-            .unwrap();
-        let sel = Selector::train(SelectorKind::DecisionTree, &ds, &train, &configs, 0).unwrap();
-        let shapes: Vec<GemmShape> = (1..=40).map(|i| GemmShape::new(i * 13, 96, 48)).collect();
-        let batch = sel.select_batch(&shapes).unwrap();
-        let sequential: Vec<usize> = shapes
-            .iter()
-            .map(|s| sel.select_shape(s).unwrap())
-            .collect();
-        assert_eq!(batch, sequential);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 #   scripts/check.sh fast   -- formatting, clippy, unit tests (~seconds
 #                              after a warm build; the inner-loop gate)
 #   scripts/check.sh full   -- everything: the whole test suite, the
+#                              benchmark harness's build and tests, the
 #                              hot-path lint and its must-fail fixture,
 #                              the analyzer self-check, the concurrency
 #                              audit (atomic roles, lock order, model
@@ -37,6 +38,9 @@ fi
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> benchmark harness (cargo test --release --offline --manifest-path perfbench/Cargo.toml)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> fault-injection suite (cargo test -q --test resilient_executor)"
 cargo test -q --test resilient_executor

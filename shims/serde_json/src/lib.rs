@@ -238,12 +238,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` in one
+                    // slice. Both are ASCII and never a UTF-8 continuation
+                    // byte, so the run ends on a char boundary and each
+                    // input byte is validated once.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -410,6 +417,30 @@ mod tests {
         assert_eq!(v["k"][1].as_f64(), Some(-2.5));
         assert_eq!(v["k"][2], "a\nbA");
         assert!(v["k"][3]["inner"].is_null());
+    }
+
+    #[test]
+    fn multibyte_utf8_mixes_with_every_escape() {
+        let original = "é\"ü\\日/本\n€\r𝄞\tß\u{8}ñ\u{c}ø\u{1}Ω";
+        let encoded = to_string(&Value::Str(original.into())).unwrap();
+        let back: Value = from_str(&encoded).unwrap();
+        assert_eq!(back, original);
+        // Every escape the parser accepts, each flanked by multi-byte
+        // characters, including escapes the writer never emits.
+        let v: Value = from_str(r#""é\"ü\\日\/本\n€\r𝄞\tß\bñ\fø\u00e9Ω\u0041""#).unwrap();
+        assert_eq!(v, "é\"ü\\日/本\n€\r𝄞\tß\u{8}ñ\u{c}øéΩA");
+        assert!(from_str::<Value>(r#""é\q""#).is_err());
+        assert!(from_str::<Value>(r#""日本"#).is_err());
+    }
+
+    #[test]
+    fn megabyte_string_roundtrips() {
+        let unit = "snapshot é日𝄞 \"quoted\" \\ tab\t line\n";
+        let original = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(original.len() >= 1 << 20);
+        let encoded = to_string(&vec![Value::Str(original.clone())]).unwrap();
+        let back: Vec<String> = from_str(&encoded).unwrap();
+        assert_eq!(back, vec![original]);
     }
 
     #[test]
